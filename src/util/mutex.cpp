@@ -214,7 +214,47 @@ void Reset() {
   registry.adjacency.clear();
   registry.violations.clear();
   registry.reported.clear();
+  for (const LockClass* cls : registry.by_id) {
+    cls->contended.store(0, std::memory_order_relaxed);
+    cls->wait_ns.store(0, std::memory_order_relaxed);
+  }
   registry.epoch.fetch_add(1, std::memory_order_acq_rel);
+}
+
+std::vector<ClassContention> Contention() {
+  std::vector<ClassContention> out;
+  Registry& registry = Global();
+  std::lock_guard<std::mutex> lock(registry.mu);
+  for (const LockClass* cls : registry.by_id) {
+    out.push_back({cls->name, cls->contended.load(std::memory_order_relaxed),
+                   cls->wait_ns.load(std::memory_order_relaxed)});
+  }
+  return out;
+}
+
+void DumpContention(std::ostream& out) {
+  std::vector<ClassContention> rows = Contention();
+  std::erase_if(rows, [](const ClassContention& row) {
+    return row.contended == 0;
+  });
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const ClassContention& a, const ClassContention& b) {
+                     return a.wait_ns > b.wait_ns;
+                   });
+  out << "lock contention: " << rows.size() << " contended class(es)\n";
+  if (rows.empty()) return;
+  char line[160];
+  std::snprintf(line, sizeof line, "  %-28s %11s %11s %11s\n", "class",
+                "contended", "wait_ms", "avg_us");
+  out << line;
+  for (const ClassContention& row : rows) {
+    const double wait_us = static_cast<double>(row.wait_ns) / 1e3;
+    std::snprintf(line, sizeof line, "  %-28s %11llu %11.2f %11.2f\n",
+                  row.name.c_str(),
+                  static_cast<unsigned long long>(row.contended),
+                  wait_us / 1e3, wait_us / static_cast<double>(row.contended));
+    out << line;
+  }
 }
 
 bool AllowRule(const std::string& line) {
@@ -360,10 +400,21 @@ void OnCondVarResume(const LockClass* cls, const void* mu) {
 void Mutex::Lock() {
 #ifdef NEES_LOCKDEP
   lockdep::internal::BeforeBlockingAcquire(class_);
-#endif
-  mu_.lock();
-#ifdef NEES_LOCKDEP
+  if (!mu_.try_lock()) {
+    // Held by another thread: only this slow path pays for the clock.
+    const auto start = std::chrono::steady_clock::now();
+    mu_.lock();
+    const auto waited = std::chrono::steady_clock::now() - start;
+    class_->contended.fetch_add(1, std::memory_order_relaxed);
+    class_->wait_ns.fetch_add(
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
+                .count()),
+        std::memory_order_relaxed);
+  }
   lockdep::internal::OnAcquired(class_, this);
+#else
+  mu_.lock();
 #endif
 }
 

@@ -18,9 +18,14 @@
 //     holding any lock ("rpc <held-class>" entries exempt a class).
 // Violations are deduplicated, printed to stderr once, and queryable
 // (lockdep::Violations) so tests and the fuzz oracle can assert on them.
-// tools/nees_locks dumps the graph and replays an injected inversion.
+// Lockdep also counts, per lock class, the acquisitions that found the
+// lock held and the time they waited (lockdep::Contention): Mutex::Lock
+// tries the lock first and times only the acquisitions that must block.
+// tools/nees_locks dumps the graph and the contention table and replays an
+// injected inversion.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <iosfwd>
@@ -46,6 +51,10 @@ inline constexpr bool kEnabled = false;
 struct LockClass {
   std::string name;
   int id = 0;
+  // Contention since the last Reset(), written by every thread that
+  // blocked on a lock of this class.
+  mutable std::atomic<std::uint64_t> contended{0};
+  mutable std::atomic<std::uint64_t> wait_ns{0};
 };
 
 /// Interns `name` (all mutexes constructed with the same name share the
@@ -62,10 +71,26 @@ struct Violation {
 std::vector<Violation> Violations();
 std::size_t ViolationCount();
 
-/// Clears the order graph, violation list, and per-thread edge caches (via
-/// an epoch bump). Lock classes and the allowlist survive. Test isolation
-/// only — never call while other threads hold instrumented locks.
+/// Clears the order graph, violation list, contention counters, and
+/// per-thread edge caches (via an epoch bump). Lock classes and the
+/// allowlist survive. Test isolation only — never call while other threads
+/// hold instrumented locks.
 void Reset();
+
+/// One lock class's contention: acquisitions that found the lock held, and
+/// their summed wait until they got it.
+struct ClassContention {
+  std::string name;
+  std::uint64_t contended = 0;
+  std::uint64_t wait_ns = 0;
+};
+
+/// Every lock class in id order, including those never contended. Empty
+/// without NEES_LOCKDEP.
+std::vector<ClassContention> Contention();
+
+/// Table of the contended classes, longest summed wait first.
+void DumpContention(std::ostream& out);
 
 /// Adds one allowlist rule. Formats ("#" starts a comment):
 ///   wait <held-class>            waiting on any condvar is legal while

@@ -5,7 +5,11 @@
 // compiled out (Release builds).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "most/fuzz.h"
@@ -223,6 +227,50 @@ TEST_F(LockdepTest, RelockableMutexLockTracksHeldStack) {
   lock.Lock();
   EXPECT_EQ(lockdep::HeldLockNames(),
             std::vector<std::string>{"test.juggle"});
+}
+
+// Contention is counted per class: an acquisition that finds the lock held
+// by another thread adds one contended acquisition and its wait; a class
+// only ever taken by one thread stays at zero.
+TEST_F(LockdepTest, ContentionCountedPerClass) {
+  Mutex contended("test.contended");
+  Mutex quiet("test.uncontended");
+  for (int i = 0; i < 100; ++i) MutexLock lock(quiet);
+  std::uint64_t contended_count = 0, contended_wait = 0;
+  bool quiet_seen = false;
+  // The waiter must reach Lock() while the main thread still holds the
+  // mutex; a waiter descheduled past the sleep gets another try.
+  for (int attempt = 0; attempt < 20 && contended_count == 0; ++attempt) {
+    std::atomic<bool> entering{false};
+    std::thread waiter;
+    {
+      MutexLock hold(contended);
+      waiter = std::thread([&] {
+        entering.store(true);
+        MutexLock lock(contended);  // blocks until the main thread lets go
+      });
+      while (!entering.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    waiter.join();
+    for (const lockdep::ClassContention& row : lockdep::Contention()) {
+      if (row.name == "test.contended") {
+        contended_count = row.contended;
+        contended_wait = row.wait_ns;
+      } else if (row.name == "test.uncontended") {
+        quiet_seen = true;
+        EXPECT_EQ(row.contended, 0u);
+        EXPECT_EQ(row.wait_ns, 0u);
+      }
+    }
+  }
+  EXPECT_TRUE(quiet_seen);
+  EXPECT_GE(contended_count, 1u);
+  EXPECT_GT(contended_wait, 0u);
+  std::ostringstream table;
+  lockdep::DumpContention(table);
+  EXPECT_NE(table.str().find("test.contended"), std::string::npos);
+  EXPECT_EQ(table.str().find("test.uncontended"), std::string::npos);
 }
 
 // Malformed allowlist lines are rejected, comments and blanks accepted.

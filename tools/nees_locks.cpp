@@ -7,9 +7,10 @@
 // (immediate delivery, real backend threads) plus a block of virtual-time
 // fuzz scenarios with crash/restart faults — with the lockdep registry
 // recording every acquisition. Afterwards it prints the observed lock-order
-// graph (--graph) and reports any violations: lock-order inversions,
-// condvar waits while holding another lock, and blocking RPCs issued under
-// a lock not covered by the allowlist.
+// graph (--graph), the per-class contention table (acquisitions that found
+// the lock held, and their summed wait), and any violations: lock-order
+// inversions, condvar waits while holding another lock, and blocking RPCs
+// issued under a lock not covered by the allowlist.
 //
 // --inject-inversion / --inject-wait deliberately commit the corresponding
 // violation on two private lock classes first, proving the detector (and
@@ -168,6 +169,9 @@ int main(int argc, char** argv) {
     std::printf("\n");
     util::lockdep::DumpGraph(std::cout);
   }
+
+  std::printf("\n");
+  util::lockdep::DumpContention(std::cout);
 
   const auto violations = util::lockdep::Violations();
   std::printf("\nlock classes: %zu   order edges: %zu   violations: %zu\n",
