@@ -9,7 +9,10 @@
 # live invariants) must come back clean — on failure nees_fuzz prints the
 # failing seed, the shrunk fault schedule, and the replay command — and
 # the committed regression corpus (pinned seeds + shrunk masks,
-# docs/RECOVERY.md) replays under the same sanitizers. Finally a docs
+# docs/RECOVERY.md) replays under the same sanitizers. The end-to-end
+# benchmark (perfbench/) builds from this checkout and runs each of its
+# four workloads for one second, each of which must come back correct with
+# no failed operation. Finally a docs
 # check fails if README/EXPERIMENTS reference a bench JSON key that no
 # longer exists in the committed BENCH_*.json files, or if a doc's quoted
 # headline number (bench-cite comments) drifts from the committed JSON,
@@ -112,6 +115,27 @@ echo "######## perfbench correctness checks (checks_test) ########"
 cmake -S "$repo/perfbench" -B "$prefix-perfbench" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$prefix-perfbench" -j "$jobs" --target checks_test
 "$prefix-perfbench/checks_test"
+
+echo
+echo "######## perfbench smoke (each workload, 1 s, untraced) ########"
+# The benchmark builds against src/ from this checkout; a src/ change that
+# breaks its build (a renamed call the benchmark makes) or its results (a
+# workload that now fails its correctness check or an operation) fails
+# here rather than in the next benchmark comparison. The last line of a
+# run is its JSON result.
+cmake --build "$prefix-perfbench" -j "$jobs" --target nees_perfbench
+for workload in most-paper wide-32 farm-100 fuzz-campaign; do
+  result="$("$prefix-perfbench/nees_perfbench" --workload "$workload" \
+    --seed 1 --seconds 1 --trace 0 --workdir "$prefix-perfbench/smoke" |
+    tail -n 1)"
+  case "$result" in
+    '{"correct": true, "attempted": '*', "failed": 0, "metrics": '*)
+      echo "perfbench $workload: correct, 0 failed" ;;
+    *)
+      echo "perfbench $workload smoke failed: $result" >&2
+      exit 1 ;;
+  esac
+done
 
 echo
 echo "######## nees_lint on a fresh most_experiment trace ########"

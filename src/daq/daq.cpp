@@ -166,8 +166,13 @@ util::Result<int> Harvester::ScanOnce() {
       ++files_failed_;
       continue;  // retry on the next scan
     }
-    std::filesystem::rename(file, file.string() + ".done", ec);
-    if (ec) return util::Internal("rename failed: " + ec.message());
+    // Gone before the next scan, so it is ingested once; keeping a copy is
+    // the repository's job, not the drop directory's.
+    std::filesystem::remove(file, ec);
+    if (ec) {
+      return util::Internal("cannot remove " + file.string() + ": " +
+                            ec.message());
+    }
     ++files_processed_;
     samples_processed_ += samples->size();
     ++processed;

@@ -82,8 +82,11 @@ util::Result<std::vector<nsds::DataSample>> ParseDropCsv(
     std::string_view content);
 
 /// Periodically scans the drop directory and hands each new file to a sink
-/// (ingestion and/or streaming); processed files are renamed with a
-/// ".done" suffix so a crash never ingests twice.
+/// (ingestion and/or streaming). A file the sink accepts is removed, so no
+/// later scan ingests it again and the directory holds only what is still
+/// pending: each scan lists pending files, not every file a long-lived DAQ
+/// ever dropped. A file that fails to parse stays for operator inspection;
+/// one the sink refuses stays and is retried on the next scan.
 class Harvester {
  public:
   using FileSink = std::function<util::Status(

@@ -165,6 +165,9 @@ std::string MiniMostExperiment::ResolveEndpoint(std::string_view base) const {
 util::Result<psd::RunReport> MiniMostExperiment::Run(
     const std::string& run_id) {
   NEES_RETURN_IF_ERROR(Start());
+  // Run boundary, as in MostExperiment::Run (DESIGN.md decision 18).
+  ntcp_->RetireTerminal();
+  sim_server_->RetireTerminal();
   psd::SimulationCoordinator coordinator(MakeCoordinatorConfig(run_id),
                                          coordinator_rpc_.get(), clock_);
   return coordinator.Run();

@@ -383,6 +383,12 @@ void MostExperiment::ObserveStep(
 util::Result<psd::RunReport> MostExperiment::Run(psd::FaultPolicy policy,
                                                  const std::string& run_id) {
   NEES_RETURN_IF_ERROR(Start());
+  // Run boundary (DESIGN.md decision 18): the earlier runs' coordinators
+  // have returned and retry nothing, so their finished transactions go.
+  for (ntcp::NtcpServer* site :
+       {ntcp_uiuc_.get(), ntcp_ncsa_.get(), ntcp_cu_.get()}) {
+    site->RetireTerminal();
+  }
   psd::SimulationCoordinator coordinator(
       MakeCoordinatorConfig(policy, run_id), coordinator_rpc_.get(), clock_);
   coordinator.SetStepObserver(

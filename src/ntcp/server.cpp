@@ -1,5 +1,8 @@
 #include "ntcp/server.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "check/invariant.h"
 #include "obs/trace.h"
 #include "util/frame_pool.h"
@@ -12,6 +15,14 @@ namespace {
 // WAL record vocabulary (see docs/RECOVERY.md, "Record grammar").
 constexpr std::uint8_t kWalTxnCreate = 1;      // proposal + proposed_at
 constexpr std::uint8_t kWalTxnTransition = 2;  // id, to, at, detail[, result]
+
+std::int64_t LastChangeMicros(const TransactionRecord& record) {
+  std::int64_t last_change = 0;
+  for (const auto& [state, micros] : record.state_timestamps) {
+    last_change = std::max(last_change, micros);
+  }
+  return last_change;
+}
 
 }  // namespace
 
@@ -87,6 +98,7 @@ void NtcpServer::PublishTxnSdeLocked(const std::string& id,
     value.Set("results", std::to_string(record.result.results.size()));
   }
   service_->SetServiceData("txn." + id, value);
+  txn_sdes_published_ = true;
 }
 
 void NtcpServer::PublishServerStatsLocked() {
@@ -370,8 +382,9 @@ util::Result<TransactionResult> NtcpServer::Execute(
     WalSyncLocked();
     // Safe to read outside the lock: the proposal is immutable once the
     // record is created, std::map nodes do not move, and the record cannot
-    // be erased while kExecuting (GarbageCollect only drops terminal
-    // states, and AttachWal runs before the server takes traffic).
+    // be erased while kExecuting (GarbageCollect and RetireTerminal only
+    // drop terminal states, and AttachWal runs before the server takes
+    // traffic).
     proposal = &record.proposal;
     ++stats_.executions;
   }
@@ -472,23 +485,34 @@ int NtcpServer::ExpireStale() {
 }
 
 int NtcpServer::GarbageCollect(std::int64_t retention_micros) {
+  return DropTerminalBefore(clock_->NowMicros() - retention_micros);
+}
+
+int NtcpServer::RetireTerminal() {
+  return DropTerminalBefore(std::numeric_limits<std::int64_t>::max());
+}
+
+int NtcpServer::DropTerminalBefore(std::int64_t cutoff_micros) {
+  // Declared before the lock so the records are freed after it is released;
+  // moving extracted nodes between maps allocates nothing.
+  std::map<std::string, TransactionRecord> dropped;
   util::MutexLock lock(mu_);
-  const std::int64_t cutoff = clock_->NowMicros() - retention_micros;
-  int removed = 0;
   for (auto it = transactions_.begin(); it != transactions_.end();) {
-    std::int64_t last_change = 0;
-    for (const auto& [state, micros] : it->second.state_timestamps) {
-      last_change = std::max(last_change, micros);
-    }
-    if (IsTerminal(it->second.state) && last_change < cutoff) {
-      service_->RemoveServiceData("txn." + it->first);
-      it = transactions_.erase(it);
-      ++removed;
-    } else {
+    if (!IsTerminal(it->second.state) ||
+        LastChangeMicros(it->second) >= cutoff_micros) {
       ++it;
+      continue;
     }
+    if (txn_sdes_published_) service_->RemoveServiceData("txn." + it->first);
+    dropped.insert(dropped.end(), transactions_.extract(it++));
   }
-  return removed;
+  if (!dropped.empty()) {
+    // An empty table has no txn.* SDE left; serverStats is republished on
+    // the next read.
+    if (transactions_.empty()) txn_sdes_published_ = false;
+    sde_dirty_ = true;
+  }
+  return static_cast<int>(dropped.size());
 }
 
 util::Result<WalRecovery> NtcpServer::AttachWal(wal::Log* log) {

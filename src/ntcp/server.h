@@ -101,6 +101,14 @@ class NtcpServer {
   /// the table; returns how many were dropped.
   int GarbageCollect(std::int64_t retention_micros);
 
+  /// The run-boundary rule (DESIGN.md decision 18): drops every terminal
+  /// transaction, whatever its age, with its txn.* SDE; proposed, accepted
+  /// and executing ones stay. MostExperiment::Run and MiniMostExperiment::Run
+  /// call it on each site before their coordinator proposes anything, so a
+  /// finished run stays inspectable until the next run begins. Not logged
+  /// to an attached WAL (docs/RECOVERY.md). Returns how many were dropped.
+  int RetireTerminal();
+
   /// Attaches a write-ahead log (docs/RECOVERY.md). Opens `log`, replays
   /// every record into the transaction table (restoring proposals, states,
   /// timestamps, and cached results), crash-marks transactions caught in
@@ -166,6 +174,10 @@ class NtcpServer {
   /// and serverStats iff something changed since the last flush.
   void FlushSde();
   void FlushSdeLocked() NEES_REQUIRES(mu_);
+  /// GarbageCollect and RetireTerminal: drops the terminal transactions
+  /// whose last change is before `cutoff_micros` and frees them after mu_
+  /// is released.
+  int DropTerminalBefore(std::int64_t cutoff_micros);
   void BindRpcMethods();
 
   net::RpcServer rpc_server_;
@@ -184,6 +196,9 @@ class NtcpServer {
   // last_changed_id_ reuses its capacity across steps, so marking a
   // transition dirty performs no heap allocation in steady state.
   bool sde_dirty_ NEES_GUARDED_BY(mu_) = false;
+  // Set when a txn.* SDE is published; while it is clear, dropping a
+  // transaction has no SDE to remove and builds no "txn.<id>" key.
+  bool txn_sdes_published_ NEES_GUARDED_BY(mu_) = false;
   std::string last_changed_id_ NEES_GUARDED_BY(mu_);
   TransactionState last_changed_state_ NEES_GUARDED_BY(mu_) =
       TransactionState::kProposed;

@@ -3,12 +3,15 @@
 // fault narrative in miniature, and the end-to-end data path (DAQ ->
 // repository, NSDS streaming, OGSI inspection).
 #include <cmath>
+#include <filesystem>
 
 #include <gtest/gtest.h>
 
 #include "grid/container.h"
 #include "most/mini_most.h"
 #include "most/most.h"
+#include "net/rpc.h"
+#include "ntcp/client.h"
 #include "testbed/shorewestern.h"
 #include "nsds/nsds.h"
 #include "util/clock.h"
@@ -311,6 +314,80 @@ TEST_F(MostRunTest, TransactionsInspectableViaOgsi) {
                                        "lastChanged");
   ASSERT_TRUE(last.ok());
   ASSERT_EQ(last->size(), 1u);
+}
+
+/// Every transaction id `endpoint` holds, each checked to belong to
+/// `run_id` and to have completed.
+std::size_t CompletedTransactionsOfRun(net::RpcClient* rpc,
+                                       const std::string& endpoint,
+                                       const std::string& run_id) {
+  ntcp::NtcpClient client(rpc, endpoint);
+  auto ids = client.ListTransactions();
+  EXPECT_TRUE(ids.ok()) << endpoint;
+  if (!ids.ok()) return 0;
+  for (const std::string& id : *ids) {
+    EXPECT_TRUE(id.starts_with(run_id + "-s")) << endpoint << ": " << id;
+    auto record = client.GetTransaction(id);
+    EXPECT_TRUE(record.ok()) << id;
+    if (record.ok()) {
+      EXPECT_EQ(record->state, ntcp::TransactionState::kCompleted) << id;
+    }
+  }
+  return ids->size();
+}
+
+TEST_F(MostRunTest, BackToBackRunsKeepOnlyTheLatestRun) {
+  // One long-lived deployment, as the rehearsals and the July 2003 run
+  // shared their servers: each Run() starts by retiring the earlier runs'
+  // finished transactions, and the harvester leaves nothing behind in the
+  // drop directory, while the repository keeps every run's files.
+  net::Network network;
+  network.SetClock(&clock_);
+  MostExperiment experiment(&network, &clock_, SmallOptions(120, false));
+  net::RpcClient inspector(&network, "remote.inspector");
+  std::size_t archived = 0;
+  for (int run = 0; run < 4; ++run) {
+    const std::string run_id = "rehearsal-" + std::to_string(run);
+    auto report = experiment.Run(psd::FaultPolicy::kFaultTolerant, run_id);
+    ASSERT_TRUE(report.ok());
+    ASSERT_TRUE(report->completed);
+    for (const char* site : {MostExperiment::kNtcpUiuc,
+                             MostExperiment::kNtcpNcsa,
+                             MostExperiment::kNtcpCu}) {
+      EXPECT_EQ(CompletedTransactionsOfRun(&inspector, site, run_id),
+                report->steps_completed)
+          << site << " after " << run_id;
+    }
+    const std::filesystem::path& drop = experiment.options().daq_drop_dir;
+    ASSERT_TRUE(std::filesystem::exists(drop));
+    EXPECT_TRUE(std::filesystem::is_empty(drop)) << "after " << run_id;
+    const std::size_t files =
+        experiment.repository()->nfms().List("most/daq/").size();
+    EXPECT_GT(files, archived) << "after " << run_id;
+    archived = files;
+  }
+}
+
+TEST(MiniMostTest, BackToBackRunsKeepOnlyTheLatestRun) {
+  util::SimClock clock(1'000'000);
+  net::Network network;
+  network.SetClock(&clock);
+  MiniMostOptions options;
+  options.steps = 50;
+  options.real_hardware = false;
+  MiniMostExperiment experiment(&network, &clock, options);
+  net::RpcClient inspector(&network, "remote.inspector");
+  for (int run = 0; run < 3; ++run) {
+    const std::string run_id = "mini-" + std::to_string(run);
+    auto report = experiment.Run(run_id);
+    ASSERT_TRUE(report.ok());
+    ASSERT_TRUE(report->completed) << report->failure.ToString();
+    for (const std::string site : {"ntcp.minimost", "ntcp.minimost.sim"}) {
+      EXPECT_EQ(CompletedTransactionsOfRun(&inspector, site, run_id),
+                report->steps_completed)
+          << site << " after " << run_id;
+    }
+  }
 }
 
 TEST_F(MostRunTest, OperatorSplittingModeTracksCentralDifference) {

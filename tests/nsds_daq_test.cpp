@@ -1,6 +1,7 @@
 // Tests for the streaming data service (best-effort semantics, gap
 // detection, decimation) and the DAQ pipeline (ring buffers, file drops,
 // harvesting).
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -210,6 +211,16 @@ class DaqTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
+  /// File names left in the drop directory, sorted.
+  std::vector<std::string> DirEntries() const {
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  }
+
   std::filesystem::path dir_;
 };
 
@@ -265,13 +276,15 @@ TEST_F(DaqTest, ParseRejectsMalformedRows) {
   EXPECT_EQ(daq::ParseDropFile(bad).status().code(), ErrorCode::kDataLoss);
 }
 
-TEST_F(DaqTest, HarvesterProcessesAndRenames) {
+TEST_F(DaqTest, HarvesterProcessesAndRemoves) {
   daq::DaqSystem daq;
   daq.AddChannel({"ch", "m", 100.0});
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(daq.Record("ch", i, i).ok());
   ASSERT_TRUE(daq.Flush(dir_, "run1").ok());
   ASSERT_TRUE(daq.Record("ch", 10, 10).ok());
   ASSERT_TRUE(daq.Flush(dir_, "run1").ok());
+  const auto bad = dir_ / "run0_bad.csv";
+  std::ofstream(bad) << "ch,notanumber,1.5\n";
 
   std::size_t sunk_samples = 0;
   daq::Harvester harvester(
@@ -285,9 +298,14 @@ TEST_F(DaqTest, HarvesterProcessesAndRenames) {
   EXPECT_EQ(*processed, 2);
   EXPECT_EQ(sunk_samples, 11u);
   EXPECT_EQ(harvester.files_processed(), 2u);
+  EXPECT_EQ(harvester.files_failed(), 1u);
 
-  // Second scan: nothing left (files were renamed .done).
+  // The harvested files are gone; the malformed one stays for inspection.
+  EXPECT_EQ(DirEntries(), std::vector<std::string>{"run0_bad.csv"});
+
+  // Second scan: nothing new is ingested.
   EXPECT_EQ(*harvester.ScanOnce(), 0);
+  EXPECT_EQ(sunk_samples, 11u);
 }
 
 TEST_F(DaqTest, HarvesterRetriesFailedSink) {
@@ -305,8 +323,11 @@ TEST_F(DaqTest, HarvesterRetriesFailedSink) {
       });
   EXPECT_EQ(*harvester.ScanOnce(), 0);
   EXPECT_EQ(harvester.files_failed(), 1u);
+  // The refused file stays where the DAQ dropped it.
+  EXPECT_EQ(DirEntries(), std::vector<std::string>{"run1_000000.csv"});
   fail = false;
   EXPECT_EQ(*harvester.ScanOnce(), 1);  // retried on next pass
+  EXPECT_TRUE(DirEntries().empty());
 }
 
 TEST_F(DaqTest, HarvesterEmptyDirIsFine) {

@@ -1,6 +1,9 @@
 // Tests for the NTCP core: the Fig. 1 state machine, proposal negotiation,
 // at-most-once semantics under duplicated/lost messages, timeouts, SDE
 // publication, OGSI inspection of transactions, and client retry recovery.
+#include <future>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "grid/container.h"
@@ -330,16 +333,82 @@ TEST_F(NtcpServerTest, FailedExecutionIsCachedNotRetriedIntoPlugin) {
 TEST_F(NtcpServerTest, GarbageCollectDropsOldTerminalTransactions) {
   ASSERT_TRUE(server_->Propose(MakeProposal("old", 0.01)).accepted);
   ASSERT_TRUE(server_->Execute("old").ok());
+  // Accepted long ago and never executed (no proposal timeout): old, but
+  // live, so neither rule may drop it.
+  ASSERT_TRUE(server_->Propose(MakeProposal("live", 0.01, 0)).accepted);
   clock_.Advance(100'000'000);
   ASSERT_TRUE(server_->Propose(MakeProposal("new", 0.01)).accepted);
   ASSERT_TRUE(server_->Execute("new").ok());
+  // An OGSI read publishes every txn.* SDE, so there is one to remove.
+  ASSERT_TRUE(server_->service_data().GetServiceData("txn.old").has_value());
 
   EXPECT_EQ(server_->GarbageCollect(50'000'000), 1);
   EXPECT_EQ(server_->GetTransaction("old").status().code(),
             ErrorCode::kNotFound);
   EXPECT_TRUE(server_->GetTransaction("new").ok());
-  // The SDE is gone too.
+
+  // The run-boundary rule drops every terminal transaction, however recent;
+  // the accepted one stays. No OGSI read comes in between, so each rule
+  // must remove the SDEs of what it dropped itself.
+  EXPECT_EQ(server_->RetireTerminal(), 1);
+  EXPECT_EQ(server_->ListTransactions(), std::vector<std::string>{"live"});
+  EXPECT_EQ(server_->GetTransaction("live")->state,
+            TransactionState::kAccepted);
   EXPECT_FALSE(server_->service_data().GetServiceData("txn.old").has_value());
+  EXPECT_FALSE(server_->service_data().GetServiceData("txn.new").has_value());
+  EXPECT_TRUE(server_->service_data().GetServiceData("txn.live").has_value());
+  EXPECT_EQ(server_->service_data().GetServiceData("serverStats")->Get(
+                "open_transactions"),
+            "1");
+  EXPECT_EQ(server_->RetireTerminal(), 0);
+  EXPECT_EQ(server_->GarbageCollect(0), 0);
+
+  // Every terminal state goes: rejected, cancelled, failed and expired too.
+  Proposal unknown_point = MakeProposal("rejected", 0.01);
+  unknown_point.actions[0].control_point = "no-such-point";
+  ASSERT_FALSE(server_->Propose(unknown_point).accepted);
+  ASSERT_TRUE(server_->Propose(MakeProposal("cancelled", 0.01)).accepted);
+  ASSERT_TRUE(server_->Cancel("cancelled").ok());
+  ASSERT_TRUE(server_->Propose(MakeProposal("expired", 0.01, 1'000)).accepted);
+  clock_.Advance(2'000);
+  ASSERT_EQ(server_->ExpireStale(), 1);
+  EXPECT_EQ(server_->RetireTerminal(), 3);
+  EXPECT_EQ(server_->ListTransactions(), std::vector<std::string>{"live"});
+}
+
+TEST_F(NtcpServerTest, RetirementNeverDropsAnExecutingTransaction) {
+  // The plugin holds the execution open until the test releases it.
+  class GatedPlugin : public ControlPlugin {
+   public:
+    util::Status Validate(const Proposal&) override { return util::OkStatus(); }
+    util::Result<TransactionResult> Execute(const Proposal&) override {
+      entered.set_value();
+      release.wait();
+      return TransactionResult{};
+    }
+    std::string_view kind() const override { return "gated"; }
+    std::promise<void> entered;
+    std::shared_future<void> release;
+  };
+  std::promise<void> release;
+  auto plugin = std::make_unique<GatedPlugin>();
+  plugin->release = release.get_future().share();
+  std::future<void> entered = plugin->entered.get_future();
+  NtcpServer server(&network_, "ntcp.gated", std::move(plugin), &clock_);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server.Propose(MakeProposal("t", 0.01)).accepted);
+
+  std::thread executor([&server] { EXPECT_TRUE(server.Execute("t").ok()); });
+  entered.wait();
+  EXPECT_EQ(server.GetTransaction("t")->state, TransactionState::kExecuting);
+  clock_.Advance(100'000'000);
+  EXPECT_EQ(server.RetireTerminal(), 0);
+  EXPECT_EQ(server.GarbageCollect(0), 0);
+  release.set_value();
+  executor.join();
+
+  EXPECT_EQ(server.GetTransaction("t")->state, TransactionState::kCompleted);
+  EXPECT_EQ(server.RetireTerminal(), 1);
 }
 
 TEST_F(NtcpServerTest, SdePublishedPerTransactionAndLastChanged) {
@@ -585,7 +654,10 @@ TEST(NtcpAsyncScheduledTest, OverlappedOpsAndRetriesOverRealLatency) {
   net::RpcClient rpc(&network, "coordinator");
   RetryPolicy policy;
   policy.initial_backoff_micros = 1'000;
-  policy.rpc_timeout_micros = 30'000;  // keep the dropped attempt cheap
+  // 250 round trips of headroom: only the deliberately dropped request may
+  // time out, even when a loaded host stalls a delivery thread for tens of
+  // milliseconds. The drop costs one timeout (~1 s) of test time.
+  policy.rpc_timeout_micros = 1'000'000;
   NtcpClient client_a(&rpc, "site.a", policy);
   NtcpClient client_b(&rpc, "site.b", policy);
 
@@ -809,6 +881,32 @@ TEST_F(NtcpWalRecoveryTest, DoubleRecoveryIsIdempotent) {
   EXPECT_EQ(recovery.inflight_failed, 0u);
   EXPECT_EQ(third->GetTransaction("t1")->state, TransactionState::kFailed);
   EXPECT_EQ(third->GetTransaction("t2")->state, TransactionState::kAccepted);
+}
+
+TEST_F(NtcpWalRecoveryTest, RetirementKeepsProposedAndIsNotLogged) {
+  auto first = Restart(nullptr);
+  ASSERT_TRUE(first->Propose(MakeProposal("t1", 0.02)).accepted);
+  ASSERT_TRUE(first->Execute("t1").ok());
+  ASSERT_TRUE(first->Propose(MakeProposal("t2", 0.03)).accepted);
+  first.reset();
+  // Drop t2's accept: the restarted site holds it in kProposed.
+  auto bytes = storage_.Load();
+  ASSERT_TRUE(bytes.ok());
+  storage_.ForceTruncate(LastFrameOffset(*bytes));
+
+  auto second = Restart(nullptr);
+  ASSERT_EQ(second->GetTransaction("t2")->state, TransactionState::kProposed);
+  EXPECT_EQ(second->RetireTerminal(), 1);
+  EXPECT_EQ(second->ListTransactions(), std::vector<std::string>{"t2"});
+  second.reset();
+
+  // Retirement is not logged, so replaying the log brings t1 back, with its
+  // cached result (docs/RECOVERY.md).
+  WalRecovery recovery;
+  auto third = Restart(&recovery);
+  EXPECT_EQ(recovery.transactions_recovered, 2u);
+  EXPECT_EQ(third->GetTransaction("t1")->state, TransactionState::kCompleted);
+  EXPECT_EQ(third->GetTransaction("t2")->state, TransactionState::kProposed);
 }
 
 TEST_F(NtcpWalRecoveryTest, CorruptLogRefusesToRecover) {
